@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-strict lint-sarif race vuln check check-fast bench bench-smoke bench-smoke-fig10a bench-smoke-kv bench-diff cover cover-smoke profile
+.PHONY: all build test vet lint lint-strict lint-sarif race vuln check check-fast fuzz-smoke bench bench-smoke bench-smoke-fig10a bench-smoke-kv bench-diff cover cover-smoke profile
 
 all: build
 
@@ -51,6 +51,21 @@ check: build vet lint race vuln
 
 # check-fast trades the race detector for speed during local iteration.
 check-fast: build vet lint test
+
+# fuzz-smoke runs every fuzz target for FUZZTIME each (go test -fuzz takes
+# one target in one package per run). `go test` alone replays only the seed
+# corpora; this step searches past them. A failing input is written under
+# the package's testdata/fuzz/ and fails the target.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = ./internal/cam:FuzzCoalesce ./internal/bam:FuzzCoalesce \
+	./internal/kvcache:FuzzLRUEvict ./internal/mem:FuzzPayloadOps
+
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; fn=$${t##*:}; \
+		echo "fuzz-smoke: $$fn in $$pkg"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME) "$$pkg" || exit 1; \
+	done
 
 # bench runs the figure reproductions once each under the benchmark
 # harness and records ns/op, allocs/op, sim-ns/op, and the derived

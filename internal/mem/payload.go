@@ -46,8 +46,9 @@ const (
 )
 
 // extent describes payload content for [off, off+n). Invariants: extents
-// are sorted by off, adjacent (no gaps), and cover [0, size) exactly; a
-// ref extent holds one reference on its chunk.
+// are sorted by off, adjacent (no gaps), and cover [0, size) exactly; no
+// adjacent pair is mergeable (see mergeWindow); a ref extent holds one
+// reference on its chunk.
 type extent struct {
 	off, n int64
 	kind   extKind
@@ -385,8 +386,9 @@ func (src *Payload) gather(out []extent, srcOff, n, dstOff int64) []extent {
 		e := &src.extents[i]
 		a, b := clip(e, srcOff, n)
 		// The appends below fill the caller's stack buffer ([8]extent in
-		// PayloadCopy); they spill to the heap only for sources fragmented
-		// past eight segments, which mergeExtents keeps rare.
+		// PayloadCopy); they spill to the heap only when more than eight
+		// extents overlap the source range, which in a canonical list
+		// (see mergeWindow) takes more than eight distinct runs of content.
 		switch e.kind {
 		case extZero:
 			out = append(out, extent{off: a + rel, n: b - a, kind: extZero}) //camlint:allow hotalloc -- stack segbuf, spills only past 8 segments
@@ -469,8 +471,8 @@ func (p *Payload) replaceRange(off, n int64, repl ...extent) {
 	need := i + extra + len(repl) + len(p.extents) - j
 	out := p.extents
 	if cap(out) < need {
-		//camlint:allow hotalloc -- extent-slice growth: capacity is retained across reuse, so growth amortizes to the payload's fragmentation high-water mark
-		out = make([]extent, need)
+		//camlint:allow hotalloc -- extent-slice growth: capacity doubles past need and is retained across reuse, so N inserts grow the slice O(log N) times
+		out = make([]extent, need, 2*need)
 		copy(out, p.extents[:i])
 	} else {
 		out = out[:need]
@@ -485,17 +487,27 @@ func (p *Payload) replaceRange(off, n int64, repl ...extent) {
 	w += len(repl)
 	if hasTail {
 		out[w] = tail
+		w++
 	}
 	p.extents = out
-	p.mergeExtents()
+	// The list was canonical before the splice (see mergeWindow), and head
+	// and tail start and end where their originals did, so only pairs from
+	// the extent before the splice through the one after it can merge.
+	p.mergeWindow(max(i-1, 0), min(w, len(out)-1))
 }
 
-// mergeExtents coalesces adjacent extents of the same kind: zeros always,
-// materialized ranges always (they index the same backing), references
-// when they continue the same chunk (dropping the duplicate reference).
-func (p *Payload) mergeExtents() {
-	w := 0
-	for r := 1; r < len(p.extents); r++ {
+// mergeWindow coalesces mergeable neighbors among extents[lo..hi] and
+// slides the suffix past hi down over the slots merging freed. If no pair
+// outside the window was mergeable, none is afterwards: a merged survivor
+// keeps its off and chOff and ends where its last partner ended, so it
+// relates to the extent after hi exactly as hi did.
+//
+// Mergeable means: zeros always, materialized ranges always (they index
+// the same backing), references when they continue the same chunk (the
+// duplicate reference is dropped).
+func (p *Payload) mergeWindow(lo, hi int) {
+	w := lo
+	for r := lo + 1; r <= hi; r++ {
 		a, b := &p.extents[w], p.extents[r]
 		if a.kind == b.kind &&
 			(a.kind != extRef || (a.ch == b.ch && a.chOff+a.n == b.chOff)) {
@@ -508,7 +520,10 @@ func (p *Payload) mergeExtents() {
 		w++
 		p.extents[w] = b
 	}
-	p.extents = p.extents[:w+1]
+	if w < hi {
+		k := copy(p.extents[w+1:], p.extents[hi+1:])
+		p.extents = p.extents[:w+1+k]
+	}
 }
 
 // findIdx locates the first extent overlapping off (binary search — cache

@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint lint-strict lint-sarif race vuln check check-fast fuzz-smoke bench bench-smoke bench-smoke-fig10a bench-smoke-kv bench-diff cover cover-smoke profile
+.PHONY: all build test vet lint lint-strict lint-sarif race vuln check check-fast golden fuzz-smoke bench bench-smoke bench-smoke-fig10a bench-smoke-kv bench-diff cover cover-smoke profile
 
 all: build
 
@@ -51,6 +51,13 @@ check: build vet lint race vuln
 
 # check-fast trades the race detector for speed during local iteration.
 check-fast: build vet lint test
+
+# golden rewrites the quick-suite goldens (internal/harness/testdata/golden:
+# the stdout of `cambench -exp all -quick`, with and without -faults 7:1e-4)
+# that `go test ./internal/harness` holds byte-identical. Run it only for an
+# intended output change, and review the diff of the golden files.
+golden:
+	$(GO) test ./internal/harness -run '^TestGoldenQuick$$' -update
 
 # fuzz-smoke runs every fuzz target for FUZZTIME each (go test -fuzz takes
 # one target in one package per run). `go test` alone replays only the seed

@@ -118,11 +118,7 @@ func main() {
 		} else {
 			fmt.Print(r.String())
 		}
-		if r.SimElapsed > 0 {
-			fmt.Printf("(%s simulated %s of virtual time)\n\n", r.ID, r.SimElapsed)
-		} else {
-			fmt.Printf("(%s is a static table)\n\n", r.ID)
-		}
+		fmt.Print(r.Footer())
 	}
 
 	if *memprofile != "" {

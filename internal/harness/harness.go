@@ -83,6 +83,15 @@ func (r *Result) String() string {
 	return b.String()
 }
 
+// Footer is the status line cambench prints after each rendered result:
+// the virtual time the experiment simulated, or that it is a static table.
+func (r *Result) Footer() string {
+	if r.SimElapsed > 0 {
+		return fmt.Sprintf("(%s simulated %s of virtual time)\n\n", r.ID, r.SimElapsed)
+	}
+	return fmt.Sprintf("(%s is a static table)\n\n", r.ID)
+}
+
 // Experiment is a registered, runnable reproduction.
 type Experiment struct {
 	ID    string

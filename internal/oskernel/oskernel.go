@@ -14,7 +14,6 @@ package oskernel
 
 import (
 	"fmt"
-	"sort"
 
 	"camsim/internal/cpustat"
 	"camsim/internal/hostmem"
@@ -162,23 +161,35 @@ func DefaultConfig(kind StackKind) Config {
 	return base
 }
 
-// Request is one in-flight kernel I/O. Callers either fill Data (the
-// classic []byte form; Submit wraps it into a payload view) or set
-// Pay/PayOff/N directly to move content by reference.
+// Request is one in-flight kernel I/O: N bytes at Offset, whose content
+// moves by reference to or from Pay at PayOff.
 type Request struct {
 	Op     nvme.Opcode
-	Offset int64  // byte offset in the striped block device
-	Data   []byte // user buffer ([]byte form); nil when Pay is set
+	Offset int64 // byte offset in the striped block device
 	Pay    *mem.Payload
 	PayOff int64
 	N      int64
 	Status nvme.Status
-	Done   *sim.Signal
+	// Done fires when the completion has been delivered. SubmitAsync
+	// creates it on first use and re-arms it when the request is reused.
+	Done *sim.Signal
 
-	dev  int
-	cid  uint16
-	wrap bool // Pay wraps Data and is released at completion
+	dev int
+	cid uint16
 }
+
+// The paper's layers, indexing Stack.layerTime (Fig 3).
+const (
+	layerUser = iota
+	layerFilesystem
+	layerIOMap
+	layerBlockIO
+	layerCompletion
+	numLayers
+)
+
+// layerNames are LayerBreakdown's keys, indexed by layer.
+var layerNames = [numLayers]string{"user", "filesystem", "iomap", "blockio", "completion"}
 
 // Stack is one configured kernel I/O stack over a RAID0 array of SSDs.
 type Stack struct {
@@ -193,12 +204,15 @@ type Stack struct {
 	// fs/io_map/block layers that bound IOPS regardless of device count.
 	kernelBusyUntil sim.Time
 
-	slots    []*sim.Resource // per-device in-flight limiter
-	inflight []map[uint16]*Request
+	slots []*sim.Resource // per-device in-flight limiter
+	// inflight is each device's CID table: QueueDepth entries, nil = free.
+	inflight [][]*Request
 	nextCID  []uint16
 
-	// freeSubmit recycles SubmitAsync machines.
+	// freeSubmit recycles SubmitAsync machines; freeSys recycles the
+	// synchronous-syscall records.
 	freeSubmit []*submitMachine
+	freeSys    []*sysIO
 
 	// bounce is the per-device kernel DMA staging area: one slot of
 	// StripeBytes per command identifier, so concurrent commands never
@@ -207,8 +221,8 @@ type Stack struct {
 
 	Stat cpustat.Counters
 
-	// layer time integrals for Fig 3
-	LayerTime map[string]sim.Time
+	// layerTime integrates the time charged to each layer (Fig 3).
+	layerTime [numLayers]sim.Time
 }
 
 // NewStack builds a stack over devices; each device gets one kernel queue
@@ -218,12 +232,11 @@ func NewStack(e *sim.Engine, kind StackKind, cfg Config, hm *hostmem.Memory, dev
 		panic("oskernel: no devices")
 	}
 	s := &Stack{
-		Kind:      kind,
-		cfg:       cfg,
-		e:         e,
-		hm:        hm,
-		devs:      devs,
-		LayerTime: make(map[string]sim.Time),
+		Kind: kind,
+		cfg:  cfg,
+		e:    e,
+		hm:   hm,
+		devs: devs,
 	}
 	for i, d := range devs {
 		sqMem := hm.Alloc(fmt.Sprintf("k%s.sq%d", kind, i), int64(cfg.QueueDepth)*nvme.SQESize)
@@ -233,7 +246,7 @@ func NewStack(e *sim.Engine, kind StackKind, cfg Config, hm *hostmem.Memory, dev
 		qp := d.CreateQueuePair(fmt.Sprintf("kernel-%d", kind), sqMem.MakeEager(), cqMem.MakeEager(), cfg.QueueDepth)
 		s.qps = append(s.qps, qp)
 		s.slots = append(s.slots, e.NewResource(fmt.Sprintf("kslots%d", i), int64(cfg.QueueDepth)-1))
-		s.inflight = append(s.inflight, make(map[uint16]*Request))
+		s.inflight = append(s.inflight, make([]*Request, cfg.QueueDepth))
 		s.nextCID = append(s.nextCID, 0)
 		s.bounce = append(s.bounce, hm.Alloc(fmt.Sprintf("k%s.bounce%d", kind, i),
 			int64(cfg.QueueDepth)*cfg.StripeBytes))
@@ -247,9 +260,6 @@ func NewStack(e *sim.Engine, kind StackKind, cfg Config, hm *hostmem.Memory, dev
 
 // Devices reports the number of striped devices.
 func (s *Stack) Devices() int { return len(s.devs) }
-
-// StripeBytes reports the RAID0 chunk size (callers split I/O on it).
-func (s *Stack) StripeBytes() int64 { return s.cfg.StripeBytes }
 
 // locate maps a byte offset to (device, device LBA) under RAID0 striping.
 func (s *Stack) locate(off int64) (dev int, lba uint64) {
@@ -267,90 +277,27 @@ func (s *Stack) costs(op nvme.Opcode) LayerCosts {
 	return s.cfg.Read
 }
 
-// Submit issues one request asynchronously. It charges the caller the User
-// layer, walks the kernel path (serialized), pushes the SQE, and returns;
-// r.Done fires when the completion has been delivered. The request must not
-// cross a stripe boundary (callers split large I/O, as the block layer
-// does).
-func (s *Stack) Submit(p *sim.Proc, r *Request) {
-	n := s.normalize(r)
-	r.Done = s.e.NewSignal("kreq")
-	c := s.costs(r.Op)
-
-	// User layer runs on the caller.
-	p.Sleep(c.User)
-	s.LayerTime["user"] += c.User
-
-	// The kernel path (fs → io_map → block, plus the eventual completion
-	// handling reserved up front) is serialized across all submitters:
-	// this shared path is what keeps every kernel stack below the device
-	// line regardless of thread count.
-	iomap := c.IOMap + c.IOMapPage*sim.Time(extraPages(n))
-	kcost := c.Filesystem + iomap + c.BlockIO + c.Completion
-	start := s.e.Now()
-	if s.kernelBusyUntil > start {
-		start = s.kernelBusyUntil
-	}
-	end := start + kcost
-	s.kernelBusyUntil = end
-	s.LayerTime["filesystem"] += c.Filesystem
-	s.LayerTime["iomap"] += iomap
-	s.LayerTime["blockio"] += c.BlockIO
-	s.LayerTime["completion"] += c.Completion
-	p.SleepUntil(end)
-
-	instr := s.cfg.PathInstructions + 120*float64(extraPages(n))
-	if r.Op == nvme.OpWrite {
-		// The write path touches the page cache bypass and FUA logic.
-		instr *= 1.12
-	}
-	s.Stat.Charge(instr, s.cfg.IPC)
-
-	dev, lba := s.locate(r.Offset)
-	r.dev = dev
-
-	// Respect the in-flight bound (kernel tag allocation).
-	s.slots[dev].Acquire(p, 1)
-
-	cid := s.allocCID(dev)
-	r.cid = cid
-	s.inflight[dev][cid] = r
-
-	// The DMA target is this command's staging slot in host DRAM. Writes
-	// stage the payload in first (two DRAM crossings counting the device's
-	// later DMA read); reads account their crossings at completion.
-	if r.Op == nvme.OpWrite {
-		s.bounceStage(r, true)
-	}
-	sqe := nvme.SQE{
-		Opcode: r.Op,
-		CID:    cid,
-		NSID:   1,
-		PRP1:   uint64(s.bounce[dev].Addr) + uint64(int64(cid)*s.cfg.StripeBytes),
-		SLBA:   lba,
-		NLB:    uint32(n / nvme.LBASize),
-	}
-	if err := s.qps[dev].SQ.Push(sqe); err != nil {
-		panic("oskernel: SQ overflow despite slot limiter: " + err.Error())
-	}
-	s.devs[dev].Ring(s.qps[dev])
-}
-
-// SubmitAsync is the callback-machine form of Submit: it walks the same
-// user → serialized-kernel-path → tag-allocation phases through scheduled
-// callbacks and runs onSubmitted (engine-callback context) once the SQE has
-// been pushed and the doorbell rung. r.Done fires when the completion has
-// been delivered, exactly as with Submit.
+// SubmitAsync issues one request. It walks the user → serialized kernel
+// path → tag allocation phases through scheduled callbacks and runs
+// onSubmitted (engine-callback context) once the SQE has been pushed and the
+// doorbell rung; r.Done fires when the completion has been delivered. The
+// request must not cross a stripe boundary (callers split large I/O with
+// Split, as the block layer does), and a reused request must have no
+// waiters left on its Done.
 func (s *Stack) SubmitAsync(r *Request, onSubmitted sim.Callback) {
-	s.normalize(r)
-	r.Done = s.e.NewSignal("kreq")
+	s.validate(r)
+	if r.Done == nil {
+		r.Done = s.e.NewSignal("kreq")
+	} else {
+		r.Done.Reset()
+	}
 	c := s.costs(r.Op)
 
 	m := s.getSubmit()
 	m.r, m.onSubmitted = r, onSubmitted
 
 	// User layer runs on the caller.
-	s.LayerTime["user"] += c.User
+	s.layerTime[layerUser] += c.User
 	m.phase = smKernel
 	s.e.ScheduleCallback(c.User, m)
 }
@@ -390,8 +337,8 @@ func (m *submitMachine) Run() {
 		c := s.costs(r.Op)
 		// The kernel path (fs → io_map → block, plus the eventual
 		// completion handling reserved up front) is serialized across all
-		// submitters — claimed here, after the user layer, exactly where
-		// the synchronous path claims it.
+		// submitters: this shared path is what keeps every kernel stack
+		// below the device line regardless of thread count.
 		iomap := c.IOMap + c.IOMapPage*sim.Time(extraPages(n))
 		kcost := c.Filesystem + iomap + c.BlockIO + c.Completion
 		start := s.e.Now()
@@ -400,10 +347,10 @@ func (m *submitMachine) Run() {
 		}
 		end := start + kcost
 		s.kernelBusyUntil = end
-		s.LayerTime["filesystem"] += c.Filesystem
-		s.LayerTime["iomap"] += iomap
-		s.LayerTime["blockio"] += c.BlockIO
-		s.LayerTime["completion"] += c.Completion
+		s.layerTime[layerFilesystem] += c.Filesystem
+		s.layerTime[layerIOMap] += iomap
+		s.layerTime[layerBlockIO] += c.BlockIO
+		s.layerTime[layerCompletion] += c.Completion
 		m.phase = smSlot
 		s.e.ScheduleCallback(end-s.e.Now(), m)
 
@@ -411,6 +358,7 @@ func (m *submitMachine) Run() {
 		n := r.N
 		instr := s.cfg.PathInstructions + 120*float64(extraPages(n))
 		if r.Op == nvme.OpWrite {
+			// The write path touches the page cache bypass and FUA logic.
 			instr *= 1.12
 		}
 		s.Stat.Charge(instr, s.cfg.IPC)
@@ -430,6 +378,10 @@ func (m *submitMachine) Run() {
 		cid := s.allocCID(dev)
 		r.cid = cid
 		s.inflight[dev][cid] = r
+		// The DMA target is this command's staging slot in host DRAM.
+		// Writes stage the payload in first (two DRAM crossings counting
+		// the device's later DMA read); reads account their crossings at
+		// completion.
 		if r.Op == nvme.OpWrite {
 			s.bounceStage(r, true)
 		}
@@ -452,15 +404,11 @@ func (m *submitMachine) Run() {
 	}
 }
 
-// normalize validates a request, wraps a []byte buffer into a payload view
-// when needed, and reports the request length. The request must not cross a
-// stripe boundary (callers split large I/O, as the block layer does).
-func (s *Stack) normalize(r *Request) int64 {
+// validate checks a request's shape: a positive, 512-aligned extent that
+// stays within one RAID0 stripe chunk.
+func (s *Stack) validate(r *Request) {
 	n := r.N
-	if r.Pay == nil {
-		n = int64(len(r.Data))
-	}
-	if n == 0 || n%nvme.LBASize != 0 {
+	if n <= 0 || n%nvme.LBASize != 0 {
 		panic("oskernel: request length must be a positive multiple of 512")
 	}
 	if r.Offset%nvme.LBASize != 0 {
@@ -469,10 +417,30 @@ func (s *Stack) normalize(r *Request) int64 {
 	if r.Offset/s.cfg.StripeBytes != (r.Offset+n-1)/s.cfg.StripeBytes {
 		panic("oskernel: request crosses RAID0 stripe boundary")
 	}
-	if r.Pay == nil {
-		r.Pay, r.PayOff, r.N, r.wrap = mem.WrapBytes(r.Data), 0, n, true
+}
+
+// Split fills reqs with the stripe chunks of an n-byte op at off whose
+// content is pay at payOff — md-RAID0 splits a bio on chunk boundaries
+// before it reaches a device — and returns the filled slice. It reuses
+// reqs' capacity and keeps the Done signals parked there, so a caller that
+// recycles its slice recycles the signals too.
+func (s *Stack) Split(reqs []Request, op nvme.Opcode, off int64, pay *mem.Payload, payOff, n int64) []Request {
+	reqs = reqs[:0]
+	for n > 0 {
+		chunk := s.cfg.StripeBytes - off%s.cfg.StripeBytes
+		if chunk > n {
+			chunk = n
+		}
+		var done *sim.Signal
+		if k := len(reqs); k < cap(reqs) {
+			done = reqs[:k+1][k].Done
+		}
+		reqs = append(reqs, Request{Op: op, Offset: off, Pay: pay, PayOff: payOff, N: chunk, Done: done}) //camlint:allow hotalloc -- callers retain the slice, so capacity grows to the widest I/O once
+		off += chunk
+		payOff += chunk
+		n -= chunk
 	}
-	return n
+	return reqs
 }
 
 // bounceStage moves request content between the user payload and command
@@ -495,12 +463,13 @@ func (s *Stack) bounceStage(r *Request, toSlot bool) {
 	s.hm.ReserveTraffic(2 * r.N)
 }
 
-// allocCID hands out a free command identifier in [0, QueueDepth); the
-// in-flight limiter guarantees one exists.
+// allocCID hands out a free command identifier in [0, QueueDepth),
+// scanning round-robin from the last one handed out; the in-flight limiter
+// guarantees one exists.
 func (s *Stack) allocCID(dev int) uint16 {
 	for i := uint32(0); i < s.cfg.QueueDepth; i++ {
 		cid := (s.nextCID[dev] + uint16(i)) % uint16(s.cfg.QueueDepth)
-		if _, busy := s.inflight[dev][cid]; !busy {
+		if s.inflight[dev][cid] == nil {
 			s.nextCID[dev] = cid + 1
 			return cid
 		}
@@ -555,7 +524,10 @@ func (k *kcqStep) Run() {
 			qp.CQ.OnPost.WaitCallback(0, k)
 			return
 		}
-		r := s.inflight[k.dev][cqe.CID]
+		var r *Request
+		if tab := s.inflight[k.dev]; int(cqe.CID) < len(tab) {
+			r = tab[cqe.CID]
+		}
 		if r == nil {
 			panic("oskernel: completion for unknown CID")
 		}
@@ -591,15 +563,11 @@ func (k *kcqStep) deliver(r *Request, cid uint16, status nvme.Status) {
 	s, dev := k.s, k.dev
 	// The CID (and its bounce slot) stays reserved until the copy-out
 	// finishes, so a reissued command cannot clobber it.
-	delete(s.inflight[dev], cid)
+	s.inflight[dev][cid] = nil
 	if r.Op == nvme.OpRead {
 		// DMA landed in the staging slot: one DRAM crossing for the DMA
 		// write, one for the copy-to-user read.
 		s.bounceStage(r, false)
-	}
-	if r.wrap {
-		r.Pay.Release()
-		r.Pay, r.wrap = nil, false
 	}
 	r.Status = status
 	s.Stat.Done(1)
@@ -608,6 +576,8 @@ func (k *kcqStep) deliver(r *Request, cid uint16, status nvme.Status) {
 }
 
 // ReadAt performs a synchronous read of len(data) bytes at off (pread).
+//
+//camlint:hotpath
 func (s *Stack) ReadAt(p *sim.Proc, off int64, data []byte) nvme.Status {
 	pay := mem.WrapBytes(data)
 	st := s.syncIO(p, nvme.OpRead, off, pay, 0, int64(len(data)))
@@ -616,6 +586,8 @@ func (s *Stack) ReadAt(p *sim.Proc, off int64, data []byte) nvme.Status {
 }
 
 // WriteAt performs a synchronous write (pwrite).
+//
+//camlint:hotpath
 func (s *Stack) WriteAt(p *sim.Proc, off int64, data []byte) nvme.Status {
 	pay := mem.WrapBytes(data)
 	st := s.syncIO(p, nvme.OpWrite, off, pay, 0, int64(len(data)))
@@ -634,53 +606,74 @@ func (s *Stack) WriteAtP(p *sim.Proc, off int64, pay *mem.Payload, payOff, n int
 	return s.syncIO(p, nvme.OpWrite, off, pay, payOff, n)
 }
 
+// syncIO is one synchronous pread/pwrite. md-RAID0 submits the per-stripe
+// bios back to back and the syscall returns when the last completes; the
+// kernel path itself stays serialized in SubmitAsync. The calling process
+// parks only on the chunk completions, in order.
 func (s *Stack) syncIO(p *sim.Proc, op nvme.Opcode, off int64, pay *mem.Payload, payOff, n int64) nvme.Status {
-	// Split on stripe boundaries like the block layer would; md-RAID0
-	// submits the per-stripe bios in parallel and the syscall returns
-	// when the last completes (the kernel path itself stays serialized
-	// in Submit).
+	c := s.getSys()
+	c.reqs = s.Split(c.reqs, op, off, pay, payOff, n)
+	c.next = 0
+	c.Run()
 	st := nvme.StatusSuccess
-	var reqs []*Request
-	for n > 0 {
-		chunk := s.cfg.StripeBytes - off%s.cfg.StripeBytes
-		if chunk > n {
-			chunk = n
-		}
-		r := &Request{Op: op, Offset: off, Pay: pay, PayOff: payOff, N: chunk}
-		s.Submit(p, r)
-		reqs = append(reqs, r)
-		off += chunk
-		payOff += chunk
-		n -= chunk
-	}
-	for _, r := range reqs {
+	for i := range c.reqs {
+		r := &c.reqs[i]
 		p.Wait(r.Done)
 		if r.Status != nvme.StatusSuccess {
 			st = r.Status
 		}
+		r.Pay = nil
 	}
+	s.freeSys = append(s.freeSys, c) //camlint:allow hotalloc -- amortized free-list growth
 	return st
+}
+
+// sysIO carries one synchronous syscall's stripe chunks through
+// SubmitAsync: each chunk's onSubmitted submits the next, in the order a
+// blocking submitter would walk them. Records and their requests (Done
+// signals included) recycle through Stack.freeSys.
+type sysIO struct {
+	s    *Stack
+	reqs []Request
+	next int // next chunk to submit
+}
+
+func (s *Stack) getSys() *sysIO {
+	if k := len(s.freeSys); k > 0 {
+		c := s.freeSys[k-1]
+		s.freeSys = s.freeSys[:k-1]
+		return c
+	}
+	return &sysIO{s: s} //camlint:allow hotalloc -- pool miss grows to the concurrency high-water mark, then reuses
+}
+
+// Run submits the next chunk: directly from syncIO for the first, then as
+// the previous chunk's onSubmitted (engine-callback context).
+//
+//camlint:hotpath
+func (c *sysIO) Run() {
+	if c.next == len(c.reqs) {
+		return
+	}
+	r := &c.reqs[c.next]
+	c.next++
+	c.s.SubmitAsync(r, c)
 }
 
 // LayerBreakdown reports the fraction of total accounted time spent in each
 // of the paper's four layers (completion folded into Block I/O would hide
 // it, so it is reported separately).
 func (s *Stack) LayerBreakdown() map[string]float64 {
-	layers := make([]string, 0, len(s.LayerTime))
-	for k := range s.LayerTime {
-		layers = append(layers, k)
-	}
-	sort.Strings(layers)
 	var total sim.Time
-	for _, k := range layers {
-		total += s.LayerTime[k]
+	for _, t := range s.layerTime {
+		total += t
 	}
-	out := make(map[string]float64, len(s.LayerTime))
+	out := make(map[string]float64, numLayers)
 	if total == 0 {
 		return out
 	}
-	for _, k := range layers {
-		out[k] = float64(s.LayerTime[k]) / float64(total)
+	for l, t := range s.layerTime {
+		out[layerNames[l]] = float64(t) / float64(total)
 	}
 	return out
 }

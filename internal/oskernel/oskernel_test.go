@@ -3,6 +3,7 @@ package oskernel
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"camsim/internal/hostmem"
@@ -117,6 +118,11 @@ func TestLocateStriping(t *testing.T) {
 	}
 }
 
+// nopCallback is an onSubmitted continuation that does nothing.
+type nopCallback struct{}
+
+func (nopCallback) Run() {}
+
 func TestStripeCrossingSubmitPanics(t *testing.T) {
 	r := newRig(t, 2)
 	cfg := DefaultConfig(POSIX)
@@ -125,26 +131,66 @@ func TestStripeCrossingSubmitPanics(t *testing.T) {
 	panicked := false
 	r.e.Go("app", func(p *sim.Proc) {
 		defer func() { panicked = recover() != nil }()
-		s.Submit(p, &Request{Op: nvme.OpRead, Offset: cfg.StripeBytes - 512, Data: make([]byte, 1024)})
+		s.SubmitAsync(&Request{Op: nvme.OpRead, Offset: cfg.StripeBytes - 512,
+			Pay: mem.WrapBytes(make([]byte, 1024)), N: 1024}, nopCallback{})
 	})
 	r.e.Run()
 	if !panicked {
-		t.Fatal("stripe-crossing Submit did not panic")
+		t.Fatal("stripe-crossing SubmitAsync did not panic")
 	}
 }
 
 func TestUnalignedSubmitPanics(t *testing.T) {
-	r := newRig(t, 1)
-	s := NewStack(r.e, POSIX, DefaultConfig(POSIX), r.hm, r.devs)
-	r.start()
-	panicked := false
-	r.e.Go("app", func(p *sim.Proc) {
-		defer func() { panicked = recover() != nil }()
-		s.Submit(p, &Request{Op: nvme.OpRead, Offset: 100, Data: make([]byte, 512)})
-	})
-	r.e.Run()
-	if !panicked {
-		t.Fatal("unaligned Submit did not panic")
+	for _, tc := range []struct {
+		name string
+		off  int64
+		n    int
+	}{
+		{"offset", 100, 512},
+		{"length", 0, 100},
+	} {
+		r := newRig(t, 1)
+		s := NewStack(r.e, POSIX, DefaultConfig(POSIX), r.hm, r.devs)
+		r.start()
+		panicked := false
+		r.e.Go("app", func(p *sim.Proc) {
+			defer func() { panicked = recover() != nil }()
+			s.ReadAt(p, tc.off, make([]byte, tc.n))
+		})
+		r.e.Run()
+		if !panicked {
+			t.Fatalf("unaligned %s ReadAt did not panic", tc.name)
+		}
+	}
+}
+
+func TestSplitOnStripeBoundaries(t *testing.T) {
+	r := newRig(t, 2)
+	cfg := DefaultConfig(POSIX)
+	s := NewStack(r.e, POSIX, cfg, r.hm, r.devs)
+	c := cfg.StripeBytes
+	pay := mem.WrapBytes(make([]byte, 3*c))
+	reqs := s.Split(nil, nvme.OpWrite, c-4096, pay, 512, 2*c)
+	want := []struct{ off, payOff, n int64 }{
+		{c - 4096, 512, 4096},
+		{c, 512 + 4096, c},
+		{2 * c, 512 + 4096 + c, c - 4096},
+	}
+	if len(reqs) != len(want) {
+		t.Fatalf("Split made %d chunks, want %d", len(reqs), len(want))
+	}
+	for i, w := range want {
+		got := reqs[i]
+		if got.Op != nvme.OpWrite || got.Pay != pay || got.Offset != w.off || got.PayOff != w.payOff || got.N != w.n {
+			t.Errorf("chunk %d = {off %d payOff %d n %d}, want %+v", i, got.Offset, got.PayOff, got.N, w)
+		}
+	}
+	// A recycled slice keeps the Done signals parked in its capacity.
+	sig := r.e.NewSignal("kept")
+	reqs[1].Done = sig
+	reqs = s.Split(reqs, nvme.OpRead, 0, pay, 0, 2*c)
+	if len(reqs) != 2 || reqs[1].Done != sig || reqs[0].Done != nil {
+		t.Fatalf("Split did not preserve Done signals across reuse")
 	}
 }
 
@@ -278,5 +324,51 @@ func TestDRAMTrafficIsTwicePayload(t *testing.T) {
 func TestStackKindString(t *testing.T) {
 	if POSIX.String() != "POSIX" || IOUringPoll.String() != "io_uring poll" {
 		t.Fatal("StackKind.String broken")
+	}
+}
+
+// TestMultiChunkSyncTiming pins the completion instant of every syscall in
+// a contended multi-chunk mix: 12 workers issue stripe-crossing reads and
+// writes of up to 80 pages over 3 devices with 4 tags each, so chunk
+// completions race later chunks' submissions and tag waits. Any change to
+// when a syscall returns changes the fingerprint; re-pin it only for an
+// intended timing change.
+func TestMultiChunkSyncTiming(t *testing.T) {
+	want := map[StackKind]struct {
+		end  sim.Time
+		hash uint64
+	}{
+		POSIX:       {7289808, 0x26faacbe0f80bb5b},
+		Libaio:      {6804181, 0x7587fc8f5761cfbd},
+		IOUringInt:  {6693392, 0x824db19b5d25d03a},
+		IOUringPoll: {6481779, 0xc2c1cc4b5aa70086},
+	}
+	for _, kind := range Kinds() {
+		r := newRig(t, 3)
+		cfg := DefaultConfig(kind)
+		cfg.QueueDepth = 4
+		s := NewStack(r.e, kind, cfg, r.hm, r.devs)
+		r.start()
+		h := fnv.New64a()
+		for w := 0; w < 12; w++ {
+			r.e.Go(fmt.Sprintf("w%d", w), func(p *sim.Proc) {
+				rng := sim.NewRNG(uint64(w + 1))
+				buf := make([]byte, 5*cfg.StripeBytes/2)
+				for i := 0; i < 20; i++ {
+					off := rng.Int63n(64) * 4096 * 8
+					if i%3 == 0 {
+						s.WriteAt(p, off, buf[:4096*(1+rng.Int63n(80))])
+					} else {
+						s.ReadAt(p, off, buf[:4096*(1+rng.Int63n(80))])
+					}
+					fmt.Fprintf(h, "%d:%d@%d", w, i, p.Now())
+				}
+			})
+		}
+		end := r.e.Run()
+		if got := want[kind]; end != got.end || h.Sum64() != got.hash {
+			t.Errorf("%v: end %d fingerprint %#x, want end %d fingerprint %#x",
+				kind, end, h.Sum64(), got.end, got.hash)
+		}
 	}
 }

@@ -11,11 +11,19 @@
 // it blocks (Sleep, Wait, Acquire, ...) or returns, and control passes back
 // to the engine. Virtual time only advances between events.
 //
-// The engine's hot path is allocation-free in steady state: events live by
-// value in a 4-ary heap (no boxing), the dominant "resume process p at time
-// t" event carries the process pointer instead of a closure, and finished
-// process goroutines park on a free list for reuse by the next Go call. See
-// DESIGN.md §7 for the profile that motivated each of these.
+// Hot-path device and driver logic need not be a process at all: a
+// Callback scheduled with ScheduleCallback (or parked with WaitCallback,
+// AcquireCallback) runs directly on the engine's stack and consumes exactly
+// the events a process in its place would.
+//
+// The engine's hot path is allocation-free in steady state. Pending events
+// are ordered by (at, seq) through three lanes per wheel (events.go): a ring
+// for events at the current instant, a timing wheel of 8.192 µs buckets for
+// the next ≈524 µs, and a 4-ary overflow heap beyond it. The dominant
+// "resume process p at time t" event carries the process pointer instead of
+// a closure, and finished process goroutines park on a free list for reuse
+// by the next Go call. See DESIGN.md §7 and §12 for the profiles that
+// motivated each of these.
 package sim
 
 import (
@@ -638,11 +646,13 @@ func (s *Signal) Reset() {
 
 // Wait blocks the process until the signal fires (returns immediately if it
 // already has).
+//
+//camlint:hotpath
 func (p *Proc) Wait(s *Signal) {
 	if s.fired {
 		return
 	}
-	s.waiters = append(s.waiters, sigWaiter{p: p})
+	s.waiters = append(s.waiters, sigWaiter{p: p}) //camlint:allow hotalloc -- Fire recycles the backing array; steady state appends into retained capacity
 	p.block()
 }
 

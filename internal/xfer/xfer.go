@@ -515,22 +515,11 @@ type posixGranule struct {
 func (g *posixGranule) start() {
 	b := g.x.b
 	// Pre-build the stripe-boundary chunk list over the helper buffer.
-	g.reqs = g.reqs[:0]
 	op := nvme.OpRead
 	if !g.x.read {
 		op = nvme.OpWrite
 	}
-	off, hostPay := g.off, g.h.host.Payload()
-	var hostOff int64
-	for hostOff < b.g {
-		chunk := b.stack.StripeBytes() - off%b.stack.StripeBytes()
-		if chunk > b.g-hostOff {
-			chunk = b.g - hostOff
-		}
-		g.reqs = append(g.reqs, oskernel.Request{Op: op, Offset: off, Pay: hostPay, PayOff: hostOff, N: chunk}) //camlint:allow hotalloc -- pooled granule retains reqs capacity across reuse
-		off += chunk
-		hostOff += chunk
-	}
+	g.reqs = b.stack.Split(g.reqs, op, g.off, g.h.host.Payload(), 0, b.g)
 	g.idx = 0
 	if g.x.read {
 		g.phase = pgSubmit

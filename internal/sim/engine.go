@@ -6,10 +6,13 @@
 // runnable at any instant, so a given seed always produces the same event
 // trace, the same metrics, and the same data movement.
 //
-// Processes are ordinary goroutines that rendezvous with the engine through
-// per-process channels: the engine resumes a process, the process runs until
-// it blocks (Sleep, Wait, Acquire, ...) or returns, and control passes back
-// to the engine. Virtual time only advances between events.
+// Processes are coroutines (iter.Pull, proc.go): the engine switches
+// directly into a process, the process runs until it blocks (Sleep, Wait,
+// Acquire, ...) or returns, and control switches back to the engine. No
+// channel or scheduler wakeup sits on that path. Virtual time only advances
+// between events. A panic inside a process is re-raised by Run on the
+// caller's goroutine as a *ProcPanic naming the process and the faulting
+// frame.
 //
 // Hot-path device and driver logic need not be a process at all: a
 // Callback scheduled with ScheduleCallback (or parked with WaitCallback,
@@ -21,7 +24,7 @@
 // for events at the current instant, a timing wheel of 8.192 µs buckets for
 // the next ≈524 µs, and a 4-ary overflow heap beyond it. The dominant
 // "resume process p at time t" event carries the process pointer instead of
-// a closure, and finished process goroutines park on a free list for reuse
+// a closure, and finished process coroutines park on a free list for reuse
 // by the next Go call. See DESIGN.md §7 and §12 for the profiles that
 // motivated each of these.
 package sim
@@ -104,12 +107,10 @@ type Engine struct {
 	// current is the process whose code is executing right now, nil while
 	// the engine itself (or a plain callback) runs.
 	current *Proc
-	// yield is the rendezvous channel processes use to hand control back.
-	yield chan struct{}
 	// live holds every started-but-unfinished process (order is
 	// insertion order with swap-removal; Shutdown's kill order follows it).
 	live []*Proc
-	// free parks finished process goroutines for reuse by the next Go.
+	// free parks finished process coroutines for reuse by the next Go.
 	free []*Proc
 
 	stopped bool
@@ -118,7 +119,6 @@ type Engine struct {
 // New returns an empty engine at virtual time zero.
 func New() *Engine {
 	return &Engine{
-		yield:  make(chan struct{}),
 		wheels: make([]eventQueue, 1),
 		heads:  []wheelHead{emptyHead},
 	}
@@ -128,9 +128,9 @@ func New() *Engine {
 func (e *Engine) Now() Time { return e.now }
 
 // NewWheel allocates a new event wheel and returns its index. Devices call
-// this once at construction and pin their controller process to it
-// (GoWheel); everything the device schedules from inside its own events
-// then stays on its wheel. Wheel 0 is the host/default wheel.
+// this once at construction and start their callback state machines on it
+// (ScheduleCallbackOn); everything the device schedules from inside its own
+// events then stays on its wheel. Wheel 0 is the host/default wheel.
 func (e *Engine) NewWheel() int {
 	e.wheels = append(e.wheels, eventQueue{})
 	e.heads = append(e.heads, emptyHead)
@@ -291,145 +291,6 @@ func (e *Engine) scheduleResume(p *Proc, delay Time) {
 	e.pushEvent(p.wheel, event{at: e.now + delay, seq: e.seq, p: p})
 }
 
-// killSignal is the panic value used to unwind a process goroutine during
-// Shutdown. It is recovered by the process loop and never escapes.
-type killSignal struct{}
-
-// Proc is a simulation process: a goroutine interleaved with the engine so
-// that exactly one process runs at a time. Finished processes are recycled:
-// a *Proc handle is only valid until its function returns.
-type Proc struct {
-	e      *Engine
-	name   string
-	resume chan struct{}
-	fn     func(p *Proc)
-	done   bool
-	killed bool
-	// wheel is the event wheel this process's resume events land on.
-	wheel int
-	// liveIdx is this process's index in e.live, -1 when not live.
-	liveIdx int
-}
-
-// Name reports the name the process was started with.
-func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine the process belongs to.
-func (p *Proc) Engine() *Engine { return p.e }
-
-// Now reports the current virtual time.
-func (p *Proc) Now() Time { return p.e.now }
-
-// Go starts fn as a new simulation process. The process begins executing at
-// the current virtual time, after already-queued events at that time. The
-// process inherits the wheel of the event that spawned it (wheel 0 when
-// started from outside the run loop).
-func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
-	return e.GoWheel(e.curWheel, name, fn)
-}
-
-// GoWheel starts fn as a new simulation process pinned to the given event
-// wheel: its resume events (Sleep, Signal wakeups) land on that wheel.
-// Devices pin their controller processes to their own wheel so their whole
-// event stream shards together.
-func (e *Engine) GoWheel(wheel int, name string, fn func(p *Proc)) *Proc {
-	var p *Proc
-	if n := len(e.free); n > 0 {
-		p = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		p.name = name
-		p.done = false
-	} else {
-		p = &Proc{e: e, name: name, resume: make(chan struct{})}
-		go p.loop()
-	}
-	p.fn = fn
-	p.wheel = wheel
-	e.addLive(p)
-	e.scheduleResume(p, 0)
-	return p
-}
-
-// loop is the body of every process goroutine: run one process function per
-// wakeup, then park on the engine's free list until Go hands out this
-// goroutine again. A kill wakeup (Shutdown) exits the loop instead.
-func (p *Proc) loop() {
-	e := p.e
-	for {
-		<-p.resume
-		if p.killed {
-			break
-		}
-		p.invoke()
-		if p.killed {
-			break
-		}
-		p.fn = nil
-		p.done = true
-		e.unlive(p)
-		e.free = append(e.free, p)
-		e.yield <- struct{}{}
-	}
-	e.unlive(p)
-	e.yield <- struct{}{}
-}
-
-// invoke runs the process function, absorbing the Shutdown unwind panic.
-func (p *Proc) invoke() {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, kill := r.(killSignal); kill && p.killed {
-				return
-			}
-			panic(r)
-		}
-	}()
-	p.fn(p)
-}
-
-func (e *Engine) addLive(p *Proc) {
-	p.liveIdx = len(e.live)
-	e.live = append(e.live, p)
-}
-
-func (e *Engine) unlive(p *Proc) {
-	i := p.liveIdx
-	if i < 0 {
-		return
-	}
-	last := len(e.live) - 1
-	e.live[i] = e.live[last]
-	e.live[i].liveIdx = i
-	e.live[last] = nil
-	e.live = e.live[:last]
-	p.liveIdx = -1
-}
-
-// runProc transfers control to p and waits for it to block or finish.
-func (e *Engine) runProc(p *Proc) {
-	prev := e.current
-	e.current = p
-	p.resume <- struct{}{}
-	<-e.yield
-	e.current = prev
-}
-
-// block suspends the calling process until something resumes it.
-// Must only be called from within that process.
-func (p *Proc) block() {
-	if p.killed {
-		// Deferred cleanup running during a Shutdown unwind must not
-		// re-enter the scheduler; keep unwinding instead.
-		panic(killSignal{})
-	}
-	p.e.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
-		panic(killSignal{})
-	}
-}
-
 // Sleep suspends the process for d of virtual time (d<=0 is a yield to
 // events already queued at the current instant).
 func (p *Proc) Sleep(d Time) {
@@ -555,14 +416,7 @@ func (e *Engine) Shutdown() {
 	e.pending = 0
 	e.minW = 0
 	e.minValid = false
-}
-
-// kill wakes p with the killed flag set and waits for its goroutine to
-// unwind and exit.
-func (e *Engine) kill(p *Proc) {
-	p.killed = true
-	p.resume <- struct{}{}
-	<-e.yield
+	e.curWheel = 0
 }
 
 // Pending reports the number of queued events across all wheels.
@@ -659,7 +513,7 @@ func (p *Proc) Wait(s *Signal) {
 // WaitCallback registers cb to be scheduled on the given wheel when the
 // signal fires. It is the callback-state-machine analogue of Wait: a poller
 // that has drained its work parks here and is re-entered by a direct call
-// instead of a goroutine rendezvous. If the signal has already fired the
+// instead of a coroutine switch. If the signal has already fired the
 // callback is scheduled immediately; pollers that must not consume an event
 // in that case check Fired() first, exactly as process loops do before Wait.
 //
@@ -700,11 +554,11 @@ func (p *Proc) WaitTimeout(s *Signal, d Time) bool {
 		return false
 	}
 	expired := false
-	fired := false
 	// The timer and the signal race; the timer only acts if p still waits
 	// on s (Fire removes waiters synchronously, so at an exact tie the
 	// already-processed Fire wins and the timer becomes a no-op instead of
-	// resuming p a second time).
+	// resuming p a second time). Whichever wins resumes p; expired tells
+	// the two apart.
 	s.waiters = append(s.waiters, sigWaiter{p: p})
 	t := p.e.ScheduleTimer(d, func() {
 		for i, w := range s.waiters {
@@ -716,31 +570,12 @@ func (p *Proc) WaitTimeout(s *Signal, d Time) bool {
 			}
 		}
 	})
-	// Wrap the resume from Fire: mark fired before control returns.
-	// Fire resumes p directly; detect which path ran via flags set above
-	// or below.
-	p.blockNoted(&fired, &expired)
-	if fired {
-		t.Cancel()
+	p.block()
+	if expired {
+		return false
 	}
-	return fired
-}
-
-// blockNoted blocks like block, but if resumed by a Signal.Fire (rather than
-// the timeout callback) it records that by setting *fired. Fire path: the
-// process is scheduled via scheduleResume without expired set.
-func (p *Proc) blockNoted(fired, expired *bool) {
-	if p.killed {
-		panic(killSignal{})
-	}
-	p.e.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
-		panic(killSignal{})
-	}
-	if !*expired {
-		*fired = true
-	}
+	t.Cancel()
+	return true
 }
 
 // CancelWaitCallback removes a callback waiter registered with WaitCallback
@@ -757,11 +592,4 @@ func (s *Signal) CancelWaitCallback(cb Callback) bool {
 		}
 	}
 	return false
-}
-
-// WaitAll blocks until every listed signal has fired.
-func (p *Proc) WaitAll(sigs ...*Signal) {
-	for _, s := range sigs {
-		p.Wait(s)
-	}
 }

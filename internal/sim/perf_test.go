@@ -82,6 +82,89 @@ func TestAllocsPerStoreOp(t *testing.T) {
 	}
 }
 
+// TestAllocsPerProcSwitch pins process switching at zero allocations: a
+// process parking and resuming (Sleep(0), a Wait/Fire/Reset round trip)
+// and Go handing out a pooled process must not allocate once warm.
+func TestAllocsPerProcSwitch(t *testing.T) {
+	e := New()
+	defer e.Shutdown()
+	ping, pong := e.NewSignal("ping"), e.NewSignal("pong")
+	sleeper := func(p *Proc) {
+		for i := 0; i < allocBatch; i++ {
+			p.Sleep(0)
+		}
+	}
+	pinger := func(p *Proc) {
+		for i := 0; i < allocBatch; i++ {
+			ping.Fire()
+			p.Wait(pong)
+			pong.Reset()
+		}
+	}
+	ponger := func(p *Proc) {
+		for i := 0; i < allocBatch; i++ {
+			p.Wait(ping)
+			ping.Reset()
+			pong.Fire()
+		}
+	}
+	noop := func(*Proc) {}
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"sleep0", func() { e.Go("sleeper", sleeper); e.Run() }},
+		{"signal", func() { e.Go("pinger", pinger); e.Go("ponger", ponger); e.Run() }},
+		{"reuse", func() { e.Go("noop", noop); e.Run() }},
+	} {
+		c.run() // warm: pooled processes, queue and waiter capacity
+		if avg := testing.AllocsPerRun(20, c.run); avg != 0 {
+			t.Errorf("%s: %.1f allocs per run, want 0", c.name, avg)
+		}
+	}
+}
+
+// BenchmarkProcSwitch measures the cost of handing control between the
+// engine and processes: sleep0 is one process parking and resuming once per
+// op; signal is one Wait/Fire/Reset round trip between two processes (two
+// parks and two resumes per op).
+func BenchmarkProcSwitch(b *testing.B) {
+	b.Run("sleep0", func(b *testing.B) {
+		e := New()
+		defer e.Shutdown()
+		e.Go("sleeper", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				p.Sleep(0)
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		e.Run()
+	})
+	b.Run("signal", func(b *testing.B) {
+		e := New()
+		defer e.Shutdown()
+		ping, pong := e.NewSignal("ping"), e.NewSignal("pong")
+		e.Go("pinger", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				ping.Fire()
+				p.Wait(pong)
+				pong.Reset()
+			}
+		})
+		e.Go("ponger", func(p *Proc) {
+			for i := 0; i < b.N; i++ {
+				p.Wait(ping)
+				ping.Reset()
+				pong.Fire()
+			}
+		})
+		b.ReportAllocs()
+		b.ResetTimer()
+		e.Run()
+	})
+}
+
 // TestRingReleasedSlotsCleared is the regression test for the slice-shift
 // retain bug: the old FIFO queues advanced with `q = q[1:]`, which kept
 // every dequeued element reachable through the backing array until the next
@@ -159,9 +242,14 @@ func TestShutdownReleasesBlockedProcesses(t *testing.T) {
 	if cleanups != 4 {
 		t.Fatalf("deferred cleanups ran %d times, want 4", cleanups)
 	}
+	waitGoroutines(t, before)
+}
 
-	// Exited goroutines are reaped asynchronously; poll with generous
-	// headroom instead of demanding an exact count.
+// waitGoroutines fails the test unless the goroutine count falls back to
+// about before. Exited goroutines are reaped asynchronously; poll with
+// generous headroom instead of demanding an exact count.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if n := runtime.NumGoroutine(); n <= before+2 {
@@ -187,18 +275,7 @@ func TestShutdownReleasesPooledProcesses(t *testing.T) {
 		t.Fatalf("Live() = %d, want 0 (all workers finished)", e.Live())
 	}
 	e.Shutdown()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if n := runtime.NumGoroutine(); n <= before+2 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines = %d long after Shutdown, baseline %d",
-				runtime.NumGoroutine(), before)
-		}
-		runtime.Gosched()
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitGoroutines(t, before)
 }
 
 func TestShutdownInsideRunPanics(t *testing.T) {
